@@ -156,10 +156,10 @@ type Queue struct {
 	// in the past, which the simulator forbids, so it stays tiny.
 	overdue []*Event
 	// spill is a binary min-heap ordered by (At, seq), indexed through
-	// Event.pos. Far-future events arrive in bursts from every traffic
-	// source at once (trace tiles inject a whole tile ahead), so inserts
-	// interleave arbitrarily — a sorted slice would memmove per insert;
-	// the heap keeps both insert and epoch-refill at O(log n).
+	// Event.pos. Far-future events (tile boundaries, long timers, the
+	// next packet of a sparse source) arrive from many producers in no
+	// particular order, so a sorted slice would memmove per insert; the
+	// heap keeps both insert and epoch-refill at O(log n).
 	spill []*Event
 
 	wheel [wheelLevels][wheelSize]*Event // bucket list heads
@@ -186,13 +186,17 @@ func (q *Queue) alloc() *Event {
 }
 
 func (q *Queue) push(e *Event, at time.Duration) Handle {
-	e.At = at
-	e.seq = q.seq
-	e.canceled = false
 	q.seq++
+	return q.pushSeq(e, at, q.seq-1)
+}
+
+func (q *Queue) pushSeq(e *Event, at time.Duration, seq uint64) Handle {
+	e.At = at
+	e.seq = seq
+	e.canceled = false
 	q.place(e)
 	q.n++
-	return Handle{e: e, seq: e.seq}
+	return Handle{e: e, seq: seq}
 }
 
 // Schedule adds fn to run at virtual time at and returns a handle,
@@ -213,6 +217,36 @@ func (q *Queue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
 	e := q.alloc()
 	e.fn, e.argFn, e.arg = nil, fn, arg
 	return q.push(e, at)
+}
+
+// Reserve sets aside the next n sequence numbers and returns the first.
+// Each may later be passed once to ScheduleArgSeq. An event scheduled
+// under a reserved number pops exactly where it would have popped had it
+// been scheduled at the moment of the reservation, so a producer can
+// queue a long, time-ordered run of events one at a time — each as its
+// predecessor fires — and keep the pop order of scheduling them all up
+// front. Events scheduled after the reservation take later numbers and
+// lose same-instant ties to every reserved event.
+func (q *Queue) Reserve(n int) uint64 {
+	if n < 0 {
+		panic("eventq: negative reservation")
+	}
+	base := q.seq
+	q.seq += uint64(n)
+	return base
+}
+
+// ScheduleArgSeq is ScheduleArg under a sequence number previously
+// returned by (or within a block of) Reserve. Each reserved number must
+// be used at most once: two live events sharing one would make the
+// tie-break, and the ABA safety of their Handles, ambiguous.
+func (q *Queue) ScheduleArgSeq(seq uint64, at time.Duration, fn func(any), arg any) Handle {
+	if seq >= q.seq {
+		panic("eventq: scheduling under an unreserved sequence number")
+	}
+	e := q.alloc()
+	e.fn, e.argFn, e.arg = nil, fn, arg
+	return q.pushSeq(e, at, seq)
 }
 
 // place files an event into the zone its tick calls for. An event goes

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"abw/internal/core"
@@ -611,24 +612,25 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 	return nil
 }
 
-// replayTrace tiles the base trace over [from, until). Each tile's
-// injections are scheduled lazily at the tile boundary, so only tiles
-// the run actually reaches materialize events.
+// replayTrace tiles the base trace over [from, until). Each tile starts
+// at its boundary event, where it reserves the event sequence numbers
+// of all its packets before the next boundary is scheduled; the packets
+// then enter one at a time (sim.InjectSeries), so only the next packet
+// of the replay is ever queued. The (time, sequence) key of every event
+// is the one an eager whole-tile injection would give it.
 func replayTrace(s *sim.Sim, route []*sim.Link, tr *trace.Trace, flow int, from, until time.Duration) {
+	pkts := tr.Packets()
 	var tile func(start time.Duration)
 	tile = func(start time.Duration) {
 		if start >= until {
 			return
 		}
-		for _, p := range tr.Packets() {
-			at := start + p.At
-			if at >= until {
-				break
-			}
-			pkt := s.NewPacket()
-			pkt.Size, pkt.Kind, pkt.Flow, pkt.Route = p.Size, sim.KindCross, flow, route
-			s.Inject(pkt, at)
-		}
+		n := sort.Search(len(pkts), func(i int) bool { return start+pkts[i].At >= until })
+		s.InjectSeries(n,
+			func(i int) time.Duration { return start + pkts[i].At },
+			func(i int, p *sim.Packet) {
+				p.Size, p.Kind, p.Flow, p.Route = pkts[i].Size, sim.KindCross, flow, route
+			})
 		if next := start + tr.Span; next < until {
 			s.At(next, func() { tile(next) })
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"abw/internal/unit"
@@ -86,6 +87,61 @@ type Packet struct {
 func (s *Sim) Inject(p *Packet, at time.Duration) {
 	s.callbacks()
 	s.atArg(at, s.injectFn, p)
+}
+
+// InjectSeries injects n packets, packet i at time at(i), where at must
+// be non-decreasing in i. The run is bit-identical to the eager loop
+//
+//	for i := 0; i < n; i++ {
+//		p := s.NewPacket()
+//		fill(i, p)
+//		s.Inject(p, at(i))
+//	}
+//
+// executed at the moment of the call, yet only the next packet of the
+// series is ever queued and no packet exists before it enters the
+// network: the call reserves the n event sequence numbers that loop
+// would have consumed, and each injection schedules its successor under
+// the next one, so every event keeps the loop's exact (time, sequence)
+// key. fill runs on a fresh pooled packet at injection time; it must
+// depend on i alone (no random draws, no simulation state), since it no
+// longer runs at the moment of the call.
+func (s *Sim) InjectSeries(n int, at func(i int) time.Duration, fill func(i int, p *Packet)) {
+	if n <= 0 {
+		return
+	}
+	s.callbacks()
+	s.scheduleSeries(&series{base: s.q.Reserve(n), n: n, at: at, fill: fill})
+}
+
+// series is the cursor of one InjectSeries call: next is the index of
+// the one packet currently queued.
+type series struct {
+	base    uint64
+	next, n int
+	at      func(i int) time.Duration
+	fill    func(i int, p *Packet)
+}
+
+func (s *Sim) scheduleSeries(sr *series) {
+	t := sr.at(sr.next)
+	if t < s.now {
+		panic(fmt.Sprintf("sim: series packet %d at %v before now %v", sr.next, t, s.now))
+	}
+	s.q.ScheduleArgSeq(sr.base+uint64(sr.next), t, s.seriesFn, sr)
+}
+
+// injectSeries fires one packet of a series, queueing its successor
+// first.
+func (s *Sim) injectSeries(arg any) {
+	sr := arg.(*series)
+	i := sr.next
+	if sr.next++; sr.next < sr.n {
+		s.scheduleSeries(sr)
+	}
+	p := s.NewPacket()
+	sr.fill(i, p)
+	s.injectNow(p)
 }
 
 // forward moves the packet into the next element of its route. Packets

@@ -39,6 +39,7 @@ type Sim struct {
 	// Long-lived callbacks for the packet hot path, built once so
 	// scheduling them never allocates a closure.
 	injectFn  func(any)
+	seriesFn  func(any)
 	advanceFn func(any)
 	txDoneFn  func(any)
 }
@@ -149,6 +150,7 @@ func (s *Sim) Pending() int { return s.q.Len() }
 func (s *Sim) callbacks() {
 	if s.injectFn == nil {
 		s.injectFn = s.injectNow
+		s.seriesFn = s.injectSeries
 		s.advanceFn = s.advancePacket
 		s.txDoneFn = txDoneLink
 	}

@@ -17,7 +17,6 @@ package learned
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"abw/internal/probe"
 	"abw/internal/unit"
@@ -154,6 +153,15 @@ func (w *Weights) validate() error {
 		return fmt.Errorf("learned: inconsistent dimensions (mean %d, std %d, coef %d)",
 			len(w.Mean), len(w.Std), len(w.Ridge.Coef))
 	}
+	for i := range w.Mean {
+		if !finite(w.Mean[i]) {
+			return fmt.Errorf("learned: mean %d is %g, want a finite value", i, w.Mean[i])
+		}
+		// standardize divides by Std, so it must be a positive finite scale.
+		if !finite(w.Std[i]) || w.Std[i] <= 0 {
+			return fmt.Errorf("learned: std %d is %g, want a positive finite value", i, w.Std[i])
+		}
+	}
 	if len(w.KNN.X) != len(w.KNN.Y) {
 		return fmt.Errorf("learned: kNN has %d inputs but %d targets", len(w.KNN.X), len(w.KNN.Y))
 	}
@@ -171,6 +179,8 @@ func (w *Weights) validate() error {
 	return nil
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // standardize maps a raw input to z-scores under the stored statistics.
 func (w *Weights) standardize(x []float64) []float64 {
 	z := make([]float64, len(x))
@@ -185,6 +195,11 @@ func (w *Weights) standardize(x []float64) []float64 {
 func (w *Weights) Predict(x []float64) (float64, error) {
 	if len(x) != len(w.Mean) {
 		return 0, fmt.Errorf("learned: input has %d dims, model wants %d", len(x), len(w.Mean))
+	}
+	for i, v := range x {
+		if !finite(v) {
+			return 0, fmt.Errorf("learned: input %d is %g, want a finite value", i, v)
+		}
 	}
 	z := w.standardize(x)
 	y := w.Ridge.Intercept
@@ -203,35 +218,54 @@ func (w *Weights) Predict(x []float64) (float64, error) {
 	return y, nil
 }
 
+// knnCand is one kNN candidate: a stored row's squared distance to the
+// query and its index.
+type knnCand struct {
+	d2  float64
+	idx int
+}
+
+// knnStackK is the largest K whose candidate list lives on the stack.
+const knnStackK = 32
+
 // knnPredict is the inverse-distance-weighted mean of the K nearest
 // training rows. Ties in distance resolve by row index, keeping the
-// prediction deterministic.
+// prediction deterministic. The K best (d², idx) pairs are kept in
+// ascending order by insertion as the rows stream past, with no
+// allocation and no sort: rows arrive in index order, so a row equal in
+// distance to a kept one ranks after it and enters only when strictly
+// closer than the current K-th.
 func (w *Weights) knnPredict(z []float64) float64 {
-	type cand struct {
-		d2  float64
-		idx int
+	k := w.KNN.K
+	if k > len(w.KNN.X) {
+		k = len(w.KNN.X)
 	}
-	cands := make([]cand, len(w.KNN.X))
+	var buf [knnStackK]knnCand
+	top := buf[:0]
+	if k > len(buf) {
+		top = make([]knnCand, 0, k)
+	}
 	for i, row := range w.KNN.X {
 		var d2 float64
 		for j := range row {
 			d := z[j] - row[j]
 			d2 += d * d
 		}
-		cands[i] = cand{d2, i}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d2 != cands[b].d2 {
-			return cands[a].d2 < cands[b].d2
+		if len(top) == k {
+			if d2 >= top[k-1].d2 {
+				continue
+			}
+			top = top[:k-1]
 		}
-		return cands[a].idx < cands[b].idx
-	})
-	k := w.KNN.K
-	if k > len(cands) {
-		k = len(cands)
+		j := len(top)
+		top = append(top, knnCand{})
+		for ; j > 0 && top[j-1].d2 > d2; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = knnCand{d2, i}
 	}
 	var num, den float64
-	for _, c := range cands[:k] {
+	for _, c := range top {
 		wt := 1 / (math.Sqrt(c.d2) + 1e-9)
 		num += wt * w.KNN.Y[c.idx]
 		den += wt

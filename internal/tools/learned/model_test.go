@@ -178,12 +178,31 @@ func TestValidateRejectsBadWeights(t *testing.T) {
 		{"knn-shape", func(w *Weights) { w.KNN = KNN{K: 1, X: [][]float64{{1, 2}}, Y: []float64{0}} }},
 		{"knn-k", func(w *Weights) { w.KNN = KNN{K: 0, X: [][]float64{{1}}, Y: []float64{0}} }},
 		{"plan", func(w *Weights) { w.Plan.RateFracs = []float64{2} }},
+		{"std-zero", func(w *Weights) { w.Std[0] = 0 }},
+		{"std-negative", func(w *Weights) { w.Std[0] = -1 }},
+		{"std-nan", func(w *Weights) { w.Std[0] = math.NaN() }},
+		{"std-inf", func(w *Weights) { w.Std[0] = math.Inf(1) }},
+		{"mean-nan", func(w *Weights) { w.Mean[0] = math.NaN() }},
+		{"mean-inf", func(w *Weights) { w.Mean[0] = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		w := base()
 		tc.break_(w)
 		if err := w.validate(); err == nil {
 			t.Errorf("%s: bad weights accepted", tc.name)
+		}
+	}
+}
+
+func TestPredictRejectsNonFiniteInput(t *testing.T) {
+	X, y := trainCase()
+	w, err := Train(X, y, TrainConfig{Plan: testPlan(), FeatureNames: []string{"x0", "x1", "const"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := w.Predict([]float64{0.5, v, 1}); err == nil {
+			t.Errorf("Predict with input %g = %g, want an error", v, got)
 		}
 	}
 }

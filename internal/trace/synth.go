@@ -121,7 +121,7 @@ func SynthesizeOnOff(cfg OnOffConfig, r *rng.Rand) (*Trace, error) {
 			at = end + off
 		}
 	}
-	return New(c.Capacity, c.Span, pkts)
+	return newOwned(c.Capacity, c.Span, pkts)
 }
 
 // FGNConfig parameterizes the fGn rate-modulated generator: packet
@@ -209,7 +209,12 @@ func SynthesizeFGN(cfg FGNConfig, r *rng.Rand) (*Trace, error) {
 	}
 	arrivals := r.Split("arrivals")
 	sigma := float64(c.MeanRate) * c.RelStdDev
-	var pkts []Pkt
+	// Presize for the expected packet count plus 1/8 slack: the
+	// realized count strays a few percent with the envelope, and
+	// doubling a slice of a few hundred thousand packets is the
+	// synthesis's largest single cost.
+	expected := float64(c.MeanRate) * c.Span.Seconds() / (8 * c.Sizes.Mean())
+	pkts := make([]Pkt, 0, int(expected+expected/8))
 	for w := 0; w < n; w++ {
 		rate := float64(c.MeanRate) + sigma*envelope[w]
 		// Clamp to the physical range; clamping slightly reduces the
@@ -236,7 +241,7 @@ func SynthesizeFGN(cfg FGNConfig, r *rng.Rand) (*Trace, error) {
 	if len(pkts) == 0 {
 		return nil, fmt.Errorf("trace: synthesis produced no packets (rate too low?)")
 	}
-	return New(c.Capacity, c.Span, pkts)
+	return newOwned(c.Capacity, c.Span, pkts)
 }
 
 // RateSeries returns the windowed arrival-rate series of the trace in

@@ -44,13 +44,18 @@ type Trace struct {
 
 // New builds a trace from packets (sorted by time if needed).
 func New(capacity unit.Rate, span time.Duration, pkts []Pkt) (*Trace, error) {
+	return newOwned(capacity, span, append([]Pkt(nil), pkts...))
+}
+
+// newOwned is New for a packet slice the trace may keep and sort in
+// place, sparing the generators a copy.
+func newOwned(capacity unit.Rate, span time.Duration, sorted []Pkt) (*Trace, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("trace: capacity %v must be positive", capacity)
 	}
 	if span <= 0 {
 		return nil, fmt.Errorf("trace: span %v must be positive", span)
 	}
-	sorted := append([]Pkt(nil), pkts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 	for i, p := range sorted {
 		if p.At < 0 || p.At > span {
