@@ -71,8 +71,9 @@ func CompareTools(cfg CompareConfig) (*CompareResult, error) {
 
 	build := func() (*core.SimTransport, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: 10 * time.Minute,
-			Seed:    scenario.Seed(c.Seed),
+			Horizon:       10 * time.Minute,
+			Seed:          scenario.Seed(c.Seed),
+			RecorderEpoch: matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{crossSource(c.Model, c.CrossRate)},

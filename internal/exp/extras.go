@@ -94,8 +94,9 @@ func LatencyAccuracy(cfg LatencyAccuracyConfig) (*LatencyAccuracyResult, error) 
 		spec := probe.PeriodicForDuration(c.ProbeRate, 1500, d)
 		horizon := time.Duration(n+2)*(2*spec.Duration()+20*time.Millisecond) + time.Second
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(di*1000+ni*100+trial)),
+			Horizon:       horizon,
+			Seed:          scenario.Seed(c.Seed + uint64(di*1000+ni*100+trial)),
+			RecorderEpoch: matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, SplitLabel: "cross"}},
@@ -244,8 +245,9 @@ func NarrowVsTight(cfg NarrowVsTightConfig) (*NarrowVsTightResult, error) {
 	spec := probe.Periodic(c.ProbeRate, 1500, c.TrainLen)
 	horizon := time.Duration(c.Trains+2) * (2*spec.Duration() + 100*time.Millisecond)
 	cpl, err := scenario.Compile(scenario.Spec{
-		Horizon: horizon,
-		Seed:    scenario.Seed(c.Seed),
+		Horizon:       horizon,
+		Seed:          scenario.Seed(c.Seed),
+		RecorderEpoch: matrixRecorderEpoch,
 		Hops: []scenario.Hop{
 			{Capacity: c.NarrowCapacity, Traffic: []scenario.Source{
 				{Kind: scenario.Poisson, Rate: c.NarrowCross, SplitLabel: "narrow", Flow: 1}}},

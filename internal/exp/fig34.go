@@ -103,8 +103,9 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 		spec := probe.Periodic(ri, c.PktSize, c.StreamLen)
 		horizon := time.Duration(c.Streams+4) * (2*spec.Duration() + 100*time.Millisecond)
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
+			Horizon:       horizon,
+			Seed:          scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
+			RecorderEpoch: matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{crossSource(model, c.CrossRate)},
@@ -250,8 +251,9 @@ func Figure4(cfg Figure4Config) (*Figure4Result, error) {
 		spec := probe.Periodic(ri, c.PktSize, c.StreamLen)
 		horizon := time.Duration(c.Streams+4) * (2*spec.Duration() + 100*time.Millisecond)
 		sp := scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
+			Horizon:       horizon,
+			Seed:          scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
+			RecorderEpoch: matrixRecorderEpoch,
 		}
 		for h := 0; h < hops; h++ {
 			sp.Hops = append(sp.Hops, scenario.Hop{

@@ -93,7 +93,8 @@ func Figure5(cfg Figure5Config) (*Figure5Result, error) {
 		// Smooth baseline cross traffic (small packets so it is nearly
 		// fluid; the burst below provides the bursty event).
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
+			Horizon:       horizon,
+			RecorderEpoch: matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{{Kind: scenario.CBR, Rate: c.CrossRate, PktSize: 300}},

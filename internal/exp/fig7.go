@@ -134,6 +134,7 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 			Seed:             scenario.Seed(c.Seed + uint64(ci)*100000 + uint64(wi)*100),
 			WithReverse:      true,
 			ReversePropDelay: c.RTTProp / 2,
+			RecorderEpoch:    matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity:  c.Capacity,
 				Buffer:    unit.Bytes(c.BufferPkts) * 1500,

@@ -17,6 +17,13 @@ import (
 // truth, so the recorders exist purely as bounded diagnostics: per-epoch
 // counters keep the many long-horizon compilations from holding one
 // Arrival row per cross-traffic packet each.
+//
+// The same holds for every experiment that scores against analytic
+// truth and never queries a recorder — CompareTools, LatencyAccuracy,
+// NarrowVsTight, Figures 3, 4, 5 and 7, and Table 1 — so they compile
+// with it too. A recorder only observes the links, so its mode cannot
+// change their output. Figure 2 keeps full recorders: it reads
+// ArrivalRate over windows that do not align with an epoch.
 const matrixRecorderEpoch = 100 * time.Millisecond
 
 // MatrixConfig parameterizes the tools×scenarios matrix: every

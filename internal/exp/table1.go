@@ -100,8 +100,9 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 		// maxK*5ms.
 		horizon := time.Duration(c.Trials+2) * time.Duration(maxK+5) * 5 * time.Millisecond * 2
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(li)*1000),
+			Horizon:       horizon,
+			Seed:          scenario.Seed(c.Seed + uint64(li)*1000),
+			RecorderEpoch: matrixRecorderEpoch,
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, PktSize: lc, SplitLabel: "cross"}},

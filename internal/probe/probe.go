@@ -60,28 +60,38 @@ func (sp StreamSpec) Departures() ([]time.Duration, error) {
 		return nil, err
 	}
 	out := make([]time.Duration, sp.Count)
-	if sp.Gaps != nil {
-		for i := 1; i < sp.Count; i++ {
-			out[i] = out[i-1] + sp.Gaps[i-1]
-		}
-		return out, nil
-	}
-	gap := unit.GapFor(sp.PktSize, sp.Rate)
 	for i := 1; i < sp.Count; i++ {
-		out[i] = out[i-1] + gap
+		out[i] = out[i-1] + sp.gap(i-1)
 	}
 	return out, nil
 }
 
+// gap returns the interdeparture time between packets i and i+1 of a
+// valid spec.
+func (sp StreamSpec) gap(i int) time.Duration {
+	if sp.Gaps != nil {
+		return sp.Gaps[i]
+	}
+	return unit.GapFor(sp.PktSize, sp.Rate)
+}
+
 // Duration returns the stream's send duration (first to last departure),
 // the paper's probing-duration knob that controls the averaging
-// timescale τ.
+// timescale τ, or 0 for an invalid spec. It is the last element of
+// Departures without building the slice: the same integer sum, so the
+// two agree exactly.
 func (sp StreamSpec) Duration() time.Duration {
-	deps, err := sp.Departures()
-	if err != nil {
+	if sp.Validate() != nil {
 		return 0
 	}
-	return deps[len(deps)-1]
+	if sp.Gaps == nil {
+		return time.Duration(sp.Count-1) * unit.GapFor(sp.PktSize, sp.Rate)
+	}
+	var d time.Duration
+	for _, g := range sp.Gaps {
+		d += g
+	}
+	return d
 }
 
 // Bytes returns the total probe volume.
@@ -146,11 +156,10 @@ func Chirp(lo, hi unit.Rate, size unit.Bytes, count int, gamma float64) (StreamS
 // RateAtPair returns the instantaneous probing rate of pair k (between
 // packets k and k+1) for a spec with explicit gaps.
 func (sp StreamSpec) RateAtPair(k int) unit.Rate {
-	deps, err := sp.Departures()
-	if err != nil || k < 0 || k+1 >= len(deps) {
+	if sp.Validate() != nil || k < 0 || k+1 >= sp.Count {
 		return 0
 	}
-	return unit.RateOf(sp.PktSize, deps[k+1]-deps[k])
+	return unit.RateOf(sp.PktSize, sp.gap(k))
 }
 
 // PoissonPairs builds Spruce-style probing: count packet pairs, each pair

@@ -259,3 +259,74 @@ func TestRecordString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// departureSpecs covers every way a stream spec is built.
+func departureSpecs(t *testing.T) map[string]StreamSpec {
+	t.Helper()
+	chirp, err := Chirp(5*unit.Mbps, 200*unit.Mbps, 1000, 23, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := PoissonPairs(40*unit.Mbps, 1500, 17, 3*time.Millisecond, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]StreamSpec{
+		"periodic":              Periodic(37*unit.Mbps, 1500, 100),
+		"periodic-for-duration": PeriodicForDuration(40*unit.Mbps, 700, 93*time.Millisecond),
+		"pair":                  Pair(96*unit.Mbps, 1500),
+		"chirp":                 chirp,
+		"poisson-pairs":         pairs,
+		"explicit-gaps":         {PktSize: 64, Count: 4, Gaps: []time.Duration{time.Nanosecond, time.Hour, 7 * time.Microsecond}},
+	}
+}
+
+// TestDurationIsLastDeparture: Duration computes the send duration
+// without building the departure slice; it must agree with it exactly,
+// and RateAtPair must agree with the departure differences.
+func TestDurationIsLastDeparture(t *testing.T) {
+	for name, sp := range departureSpecs(t) {
+		deps, err := sp.Departures()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := sp.Duration(), deps[len(deps)-1]; got != want {
+			t.Errorf("%s: Duration = %v, last departure %v", name, got, want)
+		}
+		for k := 0; k+1 < len(deps); k++ {
+			if got, want := sp.RateAtPair(k), unit.RateOf(sp.PktSize, deps[k+1]-deps[k]); got != want {
+				t.Fatalf("%s: RateAtPair(%d) = %v, want %v", name, k, got, want)
+			}
+		}
+		if sp.RateAtPair(-1) != 0 || sp.RateAtPair(len(deps)-1) != 0 {
+			t.Errorf("%s: RateAtPair out of range is not 0", name)
+		}
+	}
+}
+
+func TestDurationOfInvalidSpecIsZero(t *testing.T) {
+	for i, sp := range []StreamSpec{
+		{},
+		{PktSize: 1500, Count: 1, Rate: unit.Mbps},
+		{PktSize: 1500, Count: 10},
+		{PktSize: 1500, Count: 3, Gaps: []time.Duration{time.Millisecond}},
+		{PktSize: 1500, Count: 3, Gaps: []time.Duration{time.Millisecond, -time.Millisecond}},
+	} {
+		if d := sp.Duration(); d != 0 {
+			t.Errorf("case %d: Duration of an invalid spec = %v, want 0", i, d)
+		}
+		if r := sp.RateAtPair(0); r != 0 {
+			t.Errorf("case %d: RateAtPair of an invalid spec = %v, want 0", i, r)
+		}
+	}
+}
+
+// TestDurationDoesNotAllocate: transports and budgets ask every stream
+// for its duration.
+func TestDurationDoesNotAllocate(t *testing.T) {
+	for name, sp := range departureSpecs(t) {
+		if n := testing.AllocsPerRun(100, func() { _ = sp.Duration() }); n != 0 {
+			t.Errorf("%s: Duration allocates %v times per call", name, n)
+		}
+	}
+}

@@ -14,8 +14,7 @@ import (
 // flow labels the probe packets so multiple concurrent streams can share
 // a path without confusing the receiver.
 func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duration, flow int) (*Record, error) {
-	deps, err := spec.Departures()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	rec := NewRecord(spec)
@@ -31,12 +30,18 @@ func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duratio
 	onDrop := func(*sim.Packet, *sim.Link, time.Duration) {
 		rec.MarkResolved()
 	}
-	for i, d := range deps {
-		rec.Sent[i] = at + d
+	// The send times accumulate straight into rec.Sent: at plus the
+	// same integer sums Departures would build.
+	t := at
+	for i := range rec.Sent {
+		if i > 0 {
+			t += spec.gap(i - 1)
+		}
+		rec.Sent[i] = t
 		p := s.NewPacket()
 		p.Size, p.Kind, p.Flow, p.Seq, p.Route = spec.PktSize, sim.KindProbe, flow, i, route
 		p.OnArrive, p.OnDrop = onArrive, onDrop
-		s.Inject(p, at+d)
+		s.Inject(p, t)
 	}
 	return rec, nil
 }

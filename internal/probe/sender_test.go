@@ -117,3 +117,29 @@ func TestSendOverSimRecordsLossWithTinyBuffer(t *testing.T) {
 		t.Error("some packets should still arrive")
 	}
 }
+
+// TestSendOverSimSendTimesAreDepartures: the send times SendOverSim
+// records, and schedules, are the stream start plus each departure
+// offset.
+func TestSendOverSimSendTimesAreDepartures(t *testing.T) {
+	const at = 1234567 * time.Nanosecond
+	for name, sp := range departureSpecs(t) {
+		s := sim.New()
+		// An empty route delivers each packet the instant it is
+		// injected, so the receive times are the injection times.
+		rec, err := SendOverSim(s, nil, sp, at, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		deps, _ := sp.Departures()
+		if len(rec.Sent) != len(deps) {
+			t.Fatalf("%s: %d send times for %d departures", name, len(rec.Sent), len(deps))
+		}
+		s.Run()
+		for i, d := range deps {
+			if rec.Sent[i] != at+d || rec.Recv[i] != at+d {
+				t.Fatalf("%s: packet %d sent %v, injected %v, want %v", name, i, rec.Sent[i], rec.Recv[i], at+d)
+			}
+		}
+	}
+}

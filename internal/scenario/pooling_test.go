@@ -33,7 +33,9 @@ func snapshot(recs []*sim.Recorder) []groundTruth {
 // truth, arrival by arrival.
 func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 	const horizon = 3 * time.Second
-	for _, name := range []string{"canonical", "lrd"} {
+	// mice and codel-mice run TCP, whose segments and ACKs also come
+	// from the packet pool; codel-mice adds AQM head drops.
+	for _, name := range []string{"canonical", "lrd", "mice", "codel-mice"} {
 		t.Run(name, func(t *testing.T) {
 			d, ok := Lookup(name)
 			if !ok {

@@ -174,9 +174,10 @@ func txDoneLink(arg any) { arg.(*Link).txDone() }
 // NewPacket returns a packet from the simulation's free list (or a
 // fresh one), zeroed and marked for recycling: after its final
 // OnArrive or OnDrop callback returns, the packet goes back to the pool
-// and must not be retained. Callers that keep packets alive past
-// delivery (e.g. protocol state machines) should allocate plain
-// &Packet{} values instead.
+// and must not be retained. A protocol reads what it needs inside the
+// callback, as TCP does with the sequence number. Callers that keep
+// packets alive past delivery should allocate plain &Packet{} values
+// instead.
 func (s *Sim) NewPacket() *Packet {
 	if s.noPool {
 		return &Packet{}

@@ -105,6 +105,14 @@ type Conn struct {
 	retransmits int
 	timeouts    int
 	startAt     time.Duration
+
+	// Callbacks bound once per connection: segments and ACKs come from
+	// the simulation's packet pool and share these, and every RTO arm
+	// reuses timeoutFn, so no segment, ACK or arm allocates a packet or
+	// a closure.
+	dataArrive func(p *sim.Packet, at time.Duration)
+	ackArrive  func(p *sim.Packet, at time.Duration)
+	timeoutFn  func()
 }
 
 type progressPoint struct {
@@ -124,7 +132,7 @@ func New(s *sim.Sim, fwd, rev []*sim.Link, flow int, cfg Config) (*Conn, error) 
 	if s == nil || len(fwd) == 0 {
 		return nil, fmt.Errorf("tcp: simulation and a forward route are required")
 	}
-	return &Conn{
+	conn := &Conn{
 		s:         s,
 		fwd:       fwd,
 		rev:       rev,
@@ -134,7 +142,11 @@ func New(s *sim.Sim, fwd, rev []*sim.Link, flow int, cfg Config) (*Conn, error) 
 		ssthresh:  1 << 20, // effectively unbounded until the first loss
 		sendTimes: make(map[int]time.Duration),
 		outOfOrd:  make(map[int]bool),
-	}, nil
+	}
+	conn.dataArrive = func(p *sim.Packet, _ time.Duration) { conn.onData(p.Seq) }
+	conn.ackArrive = func(p *sim.Packet, _ time.Duration) { conn.onAck(p.Seq) }
+	conn.timeoutFn = conn.onTimeout
+	return conn, nil
 }
 
 // Start begins the transfer at the given virtual time.
@@ -202,17 +214,10 @@ func (c *Conn) sendSegment(seq int, isRetransmit bool) {
 	} else if _, seen := c.sendTimes[seq]; !seen {
 		c.sendTimes[seq] = c.s.Now()
 	}
-	pkt := &sim.Packet{
-		Size:  c.cfg.MSS + headerBytes,
-		Kind:  sim.KindData,
-		Flow:  c.flow,
-		Seq:   seq,
-		Route: c.fwd,
-		OnArrive: func(p *sim.Packet, _ time.Duration) {
-			c.onData(p.Seq)
-		},
-	}
-	c.s.Inject(pkt, c.s.Now())
+	p := c.s.NewPacket()
+	p.Size, p.Kind, p.Flow, p.Seq, p.Route = c.cfg.MSS+headerBytes, sim.KindData, c.flow, seq, c.fwd
+	p.OnArrive = c.dataArrive
+	c.s.Inject(p, c.s.Now())
 }
 
 // onData runs at the receiver: advance the cumulative ACK point and send
@@ -227,18 +232,10 @@ func (c *Conn) onData(seq int) {
 	} else if seq > c.rcvNext {
 		c.outOfOrd[seq] = true
 	}
-	ack := c.rcvNext
-	pkt := &sim.Packet{
-		Size:  ackBytes,
-		Kind:  sim.KindAck,
-		Flow:  c.flow,
-		Seq:   ack,
-		Route: c.rev,
-		OnArrive: func(p *sim.Packet, _ time.Duration) {
-			c.onAck(p.Seq)
-		},
-	}
-	c.s.Inject(pkt, c.s.Now())
+	p := c.s.NewPacket()
+	p.Size, p.Kind, p.Flow, p.Seq, p.Route = ackBytes, sim.KindAck, c.flow, c.rcvNext, c.rev
+	p.OnArrive = c.ackArrive
+	c.s.Inject(p, c.s.Now())
 }
 
 // onAck runs at the sender.
@@ -341,7 +338,7 @@ func (c *Conn) armRTO() {
 	if c.done || c.highestAck >= c.nextSeq {
 		return // nothing in flight
 	}
-	c.rtoTimer = c.s.After(c.rto(), c.onTimeout)
+	c.rtoTimer = c.s.After(c.rto(), c.timeoutFn)
 }
 
 func (c *Conn) disarmRTO() {
