@@ -79,7 +79,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			runtime.GC() // flush unreachable pool garbage so live arenas dominate
+			runtime.GC() // flush unreachable garbage so the profile shows live memory
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintf(os.Stderr, "abwsim: -memprofile: %v\n", err)
 				os.Exit(1)

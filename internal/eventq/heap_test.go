@@ -1,14 +1,18 @@
-// The binary min-heap the timing wheel replaced, retained as the
-// reference implementation ("oracle") for the differential property
-// tests: both queues share the Event and Handle types and must produce
-// identical pop orders for identical Schedule/Cancel/Pop scripts.
+// The binary min-heap the timing wheel replaced, kept as the reference
+// implementation ("oracle") for the differential property tests: both
+// queues share the Event and Handle types and must produce identical
+// pop orders for identical Schedule/Cancel/Pop scripts.
 package eventq
 
 import "time"
 
+// zoneHeap is Event.where for an event queued in a heapQueue. It is
+// none of the Queue's zone codes.
+const zoneHeap = 4
+
 // heapQueue is the pre-wheel event queue: a binary min-heap ordered by
 // (At, seq) with the same free-list pooling and ABA-safe handles as
-// Queue. Not exported — construct it with newHeapQueue in tests.
+// Queue.
 type heapQueue struct {
 	h      []*Event
 	seq    uint64

@@ -153,9 +153,8 @@ func datasetSplit(c DatasetConfig) map[string]string {
 
 // Dataset sweeps the catalog × scalings × seeds and reduces every probe
 // stream to one row. Each (scenario, scaling, trial) configuration is
-// one runner job compiling its own scenario on the worker shard's
-// arena, so rows are bit-identical at any -parallel and pooling
-// setting.
+// one runner job compiling its own scenario, so rows are bit-identical
+// at any -parallel and pooling setting.
 func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 	c := cfg.withDefaults()
 	for _, name := range c.Scenarios {
@@ -184,25 +183,16 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 		}
 	}
 
-	shards := make([]*scenario.Shard, runner.Workers())
-	perJob, err := runner.AllShards(len(jobs), func(i, shard int) ([]DatasetRow, error) {
+	perJob, err := runner.All(len(jobs), func(i int) ([]DatasetRow, error) {
 		j := jobs[i]
 		key := datasetKey(j.scen, j.scaling, j.trial)
 		simSeed := rng.Derive(c.Seed, key).Uint64()
 
-		var sh *scenario.Shard
-		if shard < len(shards) {
-			sh = shards[shard]
-		}
-		if sh == nil {
-			sh = scenario.NewShard()
-			if shard < len(shards) {
-				shards[shard] = sh
-			}
-		}
 		d, _ := scenario.Lookup(j.scen)
-		footKey := fmt.Sprintf("%s@%s", j.scen, strconv.FormatFloat(j.scaling, 'g', -1, 64))
-		cpl, err := sh.CompileSpecAggregate(footKey, scenario.ScaleTraffic(d.Spec, j.scaling), simSeed, matrixRecorderEpoch)
+		sp := scenario.ScaleTraffic(d.Spec, j.scaling)
+		sp.Seed = scenario.Seed(simSeed)
+		sp.RecorderEpoch = matrixRecorderEpoch
+		cpl, err := scenario.Compile(sp)
 		if err != nil {
 			return nil, fmt.Errorf("exp: dataset: %s ×%g: %w", j.scen, j.scaling, err)
 		}
@@ -237,7 +227,6 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 				})
 			}
 		}
-		sh.Recycle(footKey, cpl)
 		return rows, nil
 	})
 	if err != nil {

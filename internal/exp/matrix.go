@@ -110,24 +110,16 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 // statistically identical conditions), with the tight-link capacity as
 // its Capacity parameter — the best case the paper grants direct
 // probing. Results are bit-identical at every worker count.
-//
-// Memory layout: every runner shard owns a scenario.Shard — an arena
-// holding event structs, packets, and recorder bins reclaimed from the
-// compilations it has already run, sized per scenario from the previous
-// compile — so a steady-state matrix run recycles its simulation memory
-// instead of re-growing every pool from cold. Shards are pure memory
-// affinity; the cells are bit-identical at any worker count.
 func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 	c := cfg.withDefaults()
 	res := &MatrixResult{Config: c, Tools: c.Tools}
 
-	infoShard := scenario.NewShard()
 	for _, name := range c.Scenarios {
 		d, ok := scenario.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("exp: matrix: unknown scenario %q (have %v)", name, scenario.Names())
 		}
-		cpl, err := infoShard.CompileSeededAggregate(d, c.Seed, matrixRecorderEpoch)
+		cpl, err := d.CompileSeededAggregate(c.Seed, matrixRecorderEpoch)
 		if err != nil {
 			return nil, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}
@@ -140,29 +132,13 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 			TightLink:       cpl.TightLink,
 			NarrowLink:      cpl.NarrowLink,
 		})
-		infoShard.Recycle(d.Name, cpl)
 	}
 
-	// Lazily created: each entry is touched only by the worker goroutine
-	// with that shard index, so no synchronization is needed.
-	shards := make([]*scenario.Shard, runner.Workers())
-	cells, err := runner.AllShards(len(c.Scenarios)*len(c.Tools), func(job, shard int) (MatrixCell, error) {
+	cells, err := runner.All(len(c.Scenarios)*len(c.Tools), func(job int) (MatrixCell, error) {
 		si, ti := job/len(c.Tools), job%len(c.Tools)
 		name, tool := c.Scenarios[si], c.Tools[ti]
 		d, _ := scenario.Lookup(name)
-		var sh *scenario.Shard
-		if shard < len(shards) {
-			sh = shards[shard]
-		}
-		if sh == nil {
-			sh = scenario.NewShard()
-			if shard < len(shards) {
-				shards[shard] = sh
-			}
-			// else: SetWorkers raced with the fan-out; arenas are an
-			// optimization, so a throwaway shard is fine.
-		}
-		cpl, err := sh.CompileSeededAggregate(d, c.Seed, matrixRecorderEpoch)
+		cpl, err := d.CompileSeededAggregate(c.Seed, matrixRecorderEpoch)
 		if err != nil {
 			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}
@@ -183,7 +159,6 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 			}
 		}
 		rep, err := registry.Estimate(context.Background(), tool, params, cpl.Transport)
-		sh.Recycle(d.Name, cpl)
 		return MatrixCell{Scenario: d.Name, Outcome: core.NewOutcome(tool, rep, err), Err: err}, nil
 	})
 	if err != nil {

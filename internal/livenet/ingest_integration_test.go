@@ -6,55 +6,36 @@ import (
 	"testing"
 	"time"
 
+	"abw/internal/clock"
 	"abw/internal/livenet/ingest"
 )
 
-// fakeClock is a script-driven Clock: timers never fire on their own,
-// the test fires them. It lets the straggler-drain tests prove the
-// wait is event-driven (completion and shutdown unblock it) without a
-// single wall-clock sleep on the assertion path.
+// fakeClock is a clock.Fake that records the duration of every timer
+// it hands out, so a test can wait until the straggler drain is armed.
+// Its timers fire only when the test advances the clock, which lets the
+// drain tests prove the wait is event-driven (completion and shutdown
+// unblock it) without a single wall-clock sleep on the assertion path.
 type fakeClock struct {
-	mu     sync.Mutex
-	timers []*fakeTimer
+	*clock.Fake
+	mu        sync.Mutex
+	durations []time.Duration
 }
 
-type fakeTimer struct {
-	ch chan time.Time
-	d  time.Duration
-}
+func newFakeClock() *fakeClock { return &fakeClock{Fake: clock.NewFake(time.Unix(0, 0))} }
 
-func (ft *fakeTimer) C() <-chan time.Time { return ft.ch }
-func (ft *fakeTimer) Stop()               {}
-
-func (c *fakeClock) NewTimer(d time.Duration) Timer {
+func (c *fakeClock) NewTimer(d time.Duration) clock.Timer {
+	t := c.Fake.NewTimer(d)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ft := &fakeTimer{ch: make(chan time.Time, 1), d: d}
-	c.timers = append(c.timers, ft)
-	return ft
+	c.durations = append(c.durations, d)
+	return t
 }
 
-// fire delivers a firing to every timer created so far.
-func (c *fakeClock) fire() {
+// armed lists every created timer's duration, in creation order.
+func (c *fakeClock) armed() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ft := range c.timers {
-		select {
-		case ft.ch <- time.Time{}:
-		default:
-		}
-	}
-}
-
-// durations lists every created timer's duration, in creation order.
-func (c *fakeClock) durations() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds := make([]time.Duration, len(c.timers))
-	for i, ft := range c.timers {
-		ds[i] = ft.d
-	}
-	return ds
+	return append([]time.Duration(nil), c.durations...)
 }
 
 // ingestOutcome is what one receiver mode made of a fixed datagram
@@ -239,10 +220,10 @@ func TestLoopbackSoakExactAccounting(t *testing.T) {
 
 // TestFinishStreamWaitsOnInjectedClock holds the straggler drain to its
 // event-driven contract: with an injected clock the wait blocks until
-// the scripted timeout fires, and the timer duration is the sender's
-// declared deadline.
+// the clock reaches the sender's declared 5 s deadline, and not a
+// nanosecond earlier.
 func TestFinishStreamWaitsOnInjectedClock(t *testing.T) {
-	fc := &fakeClock{}
+	fc := newFakeClock()
 	r, err := ListenReceiverConfig("127.0.0.1:0", Config{Clock: fc})
 	if err != nil {
 		t.Fatal(err)
@@ -264,16 +245,17 @@ func TestFinishStreamWaitsOnInjectedClock(t *testing.T) {
 
 	results := make(chan ctrlMsg, 1)
 	go func() { results <- finishRawStream(t, tr, 1, 5000) }()
-	waitFor(t, "drain timer armed", func() bool { return len(fc.durations()) == 1 })
-	select {
-	case res := <-results:
-		t.Fatalf("finish returned %+v before the drain timer fired", res)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if ds := fc.durations(); ds[0] != 5*time.Second {
+	waitFor(t, "drain timer armed", func() bool { return len(fc.armed()) == 1 })
+	if ds := fc.armed(); ds[0] != 5*time.Second {
 		t.Fatalf("drain timer armed for %v, want 5s", ds[0])
 	}
-	fc.fire()
+	fc.Advance(5*time.Second - time.Nanosecond)
+	select {
+	case res := <-results:
+		t.Fatalf("finish returned %+v before the drain deadline", res)
+	case <-time.After(20 * time.Millisecond):
+	}
+	fc.Advance(time.Nanosecond)
 	select {
 	case res := <-results:
 		if res.Type != msgResult || len(res.RecvNs) != 2 {
@@ -283,14 +265,14 @@ func TestFinishStreamWaitsOnInjectedClock(t *testing.T) {
 			t.Fatalf("recvNs = %v, want [stamped, lost]", res.RecvNs)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("finish still blocked after the drain timer fired")
+		t.Fatal("finish still blocked at the drain deadline")
 	}
 }
 
 // TestFinishStreamUnblocksOnCompletion: the last straggler's arrival
 // releases the drain immediately — the timer never has to fire.
 func TestFinishStreamUnblocksOnCompletion(t *testing.T) {
-	fc := &fakeClock{}
+	fc := newFakeClock()
 	r, err := ListenReceiverConfig("127.0.0.1:0", Config{Clock: fc})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +293,7 @@ func TestFinishStreamUnblocksOnCompletion(t *testing.T) {
 	waitFor(t, "first packet stamped", func() bool { return r.Stats().Packets == 1 })
 	results := make(chan ctrlMsg, 1)
 	go func() { results <- finishRawStream(t, tr, 1, 30_000) }()
-	waitFor(t, "drain timer armed", func() bool { return len(fc.durations()) == 1 })
+	waitFor(t, "drain timer armed", func() bool { return len(fc.armed()) == 1 })
 	// The straggler arrives; the never-fired fake timer must not hold
 	// the result back.
 	if _, err := tr.udp.Write(probePacket(tr.SessionID(), 1, 1, size)); err != nil {
@@ -329,11 +311,12 @@ func TestFinishStreamUnblocksOnCompletion(t *testing.T) {
 
 // TestFinishStreamCancelledByShutdown: receiver Close releases a
 // session handler parked in the drain wait, even though its timer (the
-// fake never fires) and its stream (forever incomplete) never would.
+// fake clock never advances) and its stream (forever incomplete) never
+// would.
 // Without shutdown cancellation the handler goroutine — and the
 // session it pins — would leak until the declared deadline.
 func TestFinishStreamCancelledByShutdown(t *testing.T) {
-	fc := &fakeClock{}
+	fc := newFakeClock()
 	r, err := ListenReceiverConfig("127.0.0.1:0", Config{Clock: fc})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +334,7 @@ func TestFinishStreamCancelledByShutdown(t *testing.T) {
 	if err := tr.enc.Encode(ctrlMsg{Type: msgDone, ID: 1, DeadlineMs: 25_000}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "drain timer armed", func() bool { return len(fc.durations()) == 1 })
+	waitFor(t, "drain timer armed", func() bool { return len(fc.armed()) == 1 })
 	r.Close()
 	// The handler's return path runs dropSession; if the drain wait were
 	// not cancellable at shutdown the session would stay registered.

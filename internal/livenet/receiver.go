@@ -36,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"abw/internal/clock"
 	"abw/internal/livenet/ingest"
 )
 
@@ -69,7 +70,7 @@ type Config struct {
 	// Clock injects the timer source for the receiver's straggler
 	// waits (nil = the real clock). Tests use a fake so the waits are
 	// script-driven instead of wall-clock sleeps.
-	Clock Clock
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -86,7 +87,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCount = 1 << 20
 	}
 	if c.Clock == nil {
-		c.Clock = realClock{}
+		c.Clock = clock.Real{}
 	}
 	return c
 }

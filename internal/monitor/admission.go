@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"abw/internal/clock"
 	"abw/internal/core"
 	"abw/internal/unit"
 )
@@ -143,15 +144,15 @@ type Ledger struct {
 // unlimited; MaxDuration is ignored — wall time is the scheduler's
 // axis, not a spendable volume) and the aggregate probe rate maxRate
 // over the sliding window (default 1 s; rate 0 = unlimited).
-func NewLedger(budget core.Budget, maxRate unit.Rate, window time.Duration, clock Clock) *Ledger {
-	if clock == nil {
-		clock = realClock{}
+func NewLedger(budget core.Budget, maxRate unit.Rate, window time.Duration, clk Clock) *Ledger {
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	if window <= 0 {
 		window = time.Second
 	}
 	return &Ledger{
-		clock:   clock,
+		clock:   clk,
 		budget:  budget,
 		maxRate: maxRate,
 		window:  window,

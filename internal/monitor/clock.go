@@ -1,139 +1,22 @@
 package monitor
 
 import (
-	"sort"
-	"sync"
 	"time"
+
+	"abw/internal/clock"
 )
 
-// Clock is the time source the monitor schedules against. Production
-// code uses the real clock (nil Config.Clock); tests inject a FakeClock
-// so scheduling decisions — due times, jitter draws, admission windows,
-// snapshot cadence — are a pure function of the advance script, not of
-// machine speed. Everything in this package that asks "what time is it"
-// or "wake me later" goes through a Clock; nothing calls time.Now or
+// Clock is the time source the monitor schedules against (see package
+// clock). Everything in this package that asks "what time is it" or
+// "wake me later" goes through a Clock; nothing calls time.Now or
 // time.After directly.
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-	// NewTimer returns a timer that fires once after d.
-	NewTimer(d time.Duration) Timer
-}
+type Clock = clock.Clock
 
 // Timer is the clock-owned one-shot timer the scheduler waits on.
-type Timer interface {
-	// C is the channel the firing is delivered on.
-	C() <-chan time.Time
-	// Reset re-arms the timer for d from now, dropping any undelivered
-	// firing.
-	Reset(d time.Duration)
-	// Stop disarms the timer; a firing already delivered stays in C.
-	Stop()
-}
+type Timer = clock.Timer
 
-// realClock is the production Clock, backed by the runtime clock.
-type realClock struct{}
-
-func (realClock) Now() time.Time                 { return time.Now() }
-func (realClock) NewTimer(d time.Duration) Timer { return &realTimer{t: time.NewTimer(d)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (rt *realTimer) C() <-chan time.Time { return rt.t.C }
-
-func (rt *realTimer) Reset(d time.Duration) {
-	// Drain-then-reset, the pre-Go-1.23 safe pattern; harmless on newer
-	// runtimes.
-	if !rt.t.Stop() {
-		select {
-		case <-rt.t.C:
-		default:
-		}
-	}
-	rt.t.Reset(d)
-}
-
-func (rt *realTimer) Stop() { rt.t.Stop() }
-
-// FakeClock is a manually advanced Clock for deterministic tests: time
-// moves only on Advance, and timers fire synchronously inside the
-// Advance call, in deadline order. It is safe for concurrent use.
-type FakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
+// FakeClock is the manually advanced Clock for deterministic tests.
+type FakeClock = clock.Fake
 
 // NewFakeClock returns a fake clock starting at the given instant.
-func NewFakeClock(at time.Time) *FakeClock {
-	return &FakeClock{now: at}
-}
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// NewTimer implements Clock.
-func (c *FakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{c: c, ch: make(chan time.Time, 1), at: c.now.Add(d), armed: true}
-	c.timers = append(c.timers, t)
-	c.fireDueLocked()
-	return t
-}
-
-// Advance moves the clock forward by d, firing every timer whose
-// deadline is reached, in deadline order. Goroutines woken by a firing
-// run concurrently with the caller as usual; Advance only guarantees
-// the firings are delivered.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	c.fireDueLocked()
-}
-
-// fireDueLocked delivers every due, armed timer; the caller holds c.mu.
-func (c *FakeClock) fireDueLocked() {
-	sort.SliceStable(c.timers, func(i, j int) bool { return c.timers[i].at.Before(c.timers[j].at) })
-	for _, t := range c.timers {
-		if t.armed && !t.at.After(c.now) {
-			t.armed = false
-			select {
-			case t.ch <- t.at:
-			default:
-			}
-		}
-	}
-}
-
-type fakeTimer struct {
-	c     *FakeClock
-	ch    chan time.Time
-	at    time.Time
-	armed bool
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Reset(d time.Duration) {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	select {
-	case <-t.ch:
-	default:
-	}
-	t.at = t.c.now.Add(d)
-	t.armed = true
-	t.c.fireDueLocked()
-}
-
-func (t *fakeTimer) Stop() {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	t.armed = false
-}
+func NewFakeClock(at time.Time) *FakeClock { return clock.NewFake(at) }

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"abw/internal/clock"
 	"abw/internal/core"
 	"abw/internal/livenet"
 	"abw/internal/tools/registry"
@@ -153,7 +154,7 @@ func (c Config) withDefaults() Config {
 		c.SnapshotEvery = time.Minute
 	}
 	if c.Clock == nil {
-		c.Clock = realClock{}
+		c.Clock = clock.Real{}
 	}
 	return c
 }

@@ -251,19 +251,7 @@ func MustCompile(spec Spec) *Compiled {
 
 // Compile realizes the spec on a fresh simulation. Identical specs
 // (including seed) give identical packet-level behavior.
-func Compile(spec Spec) (*Compiled, error) { return compile(spec, nil) }
-
-// CompileArena is Compile with the simulation's pools primed from an
-// arena (see sim.Arena): the fresh simulation's event free list, packet
-// pool, and aggregate-recorder bin storage are seeded from memory
-// reclaimed out of earlier runs instead of warmed from cold. Priming
-// only pre-fills free lists, so the compiled scenario is bit-identical
-// to a plain Compile of the same spec. A nil arena is a plain Compile.
-func CompileArena(spec Spec, arena *sim.Arena) (*Compiled, error) {
-	return compile(spec, arena)
-}
-
-func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
+func Compile(spec Spec) (*Compiled, error) {
 	if len(spec.Hops) == 0 {
 		return nil, fmt.Errorf("scenario: a spec needs at least one hop")
 	}
@@ -289,9 +277,6 @@ func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
 	}
 
 	s := sim.New()
-	if arena != nil {
-		arena.Prime(s)
-	}
 	links := make([]*sim.Link, len(resolved.Hops))
 	recs := make([]*sim.Recorder, len(resolved.Hops))
 	lossMeans := make([]float64, len(resolved.Hops))
@@ -317,9 +302,6 @@ func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
 		links[h].BufferBytes = hop.Buffer
 		if resolved.RecorderEpoch > 0 {
 			recs[h] = sim.NewAggregateRecorder(capacity, resolved.RecorderEpoch)
-			if arena != nil {
-				arena.PrimeRecorder(recs[h])
-			}
 		} else {
 			recs[h] = sim.NewRecorder(capacity)
 		}

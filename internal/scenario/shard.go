@@ -1,72 +1,21 @@
 package scenario
 
-import (
-	"time"
+import "time"
 
-	"abw/internal/sim"
-)
+// Shard is kept only for the benchmark harness (abwbench), which still
+// names NewShard, CompileSeededAggregate and Recycle. It holds nothing:
+// compiles are plain Descriptor compiles. The type goes when a
+// benchmark change drops those calls.
+type Shard struct{}
 
-// Shard is one worker's reusable simulation memory for repeated
-// scenario compilations: a sim.Arena plus the per-scenario footprint
-// record that sizes it. A matrix-style workload gives each runner shard
-// one Shard; every compile of a scenario the shard has seen before
-// starts with its pools pre-grown to that scenario's last measured
-// footprint, so steady-state trials stop warming pools from cold.
-//
-// A Shard belongs to exactly one goroutine at a time (the runner shard
-// whose index it is stored under); nothing here is synchronized. Like
-// the arena it wraps, a Shard only moves free-list memory around —
-// compiled results are bit-identical with or without one.
-type Shard struct {
-	arena sim.Arena
-	foot  map[string]sim.Footprint
+// NewShard returns an empty shard. Kept only for the benchmark harness.
+func NewShard() *Shard { return &Shard{} }
+
+// CompileSeededAggregate is d.CompileSeededAggregate(seed, epoch).
+// Kept only for the benchmark harness.
+func (*Shard) CompileSeededAggregate(d Descriptor, seed uint64, epoch time.Duration) (*Compiled, error) {
+	return d.CompileSeededAggregate(seed, epoch)
 }
 
-// NewShard returns an empty shard.
-func NewShard() *Shard {
-	return &Shard{foot: make(map[string]sim.Footprint)}
-}
-
-// CompileSeededAggregate mirrors Descriptor.CompileSeededAggregate on
-// the shard's arena: the arena is grown to the descriptor's recorded
-// footprint (when one exists) and primes the fresh simulation. Hand the
-// compilation back with Recycle when done with it.
-func (sh *Shard) CompileSeededAggregate(d Descriptor, seed uint64, epoch time.Duration) (*Compiled, error) {
-	if f, ok := sh.foot[d.Name]; ok {
-		sh.arena.Grow(f)
-	}
-	sp := d.Spec
-	sp.Seed = Seed(seed)
-	sp.RecorderEpoch = epoch
-	return CompileArena(sp, &sh.arena)
-}
-
-// CompileSpecAggregate compiles an arbitrary (possibly transformed)
-// spec on the shard's arena under an explicit footprint key — the
-// dataset experiment's entry point, where the spec is a cataloged
-// scenario with scaled cross traffic rather than a catalog Descriptor.
-// Hand the compilation back with Recycle under the same key.
-func (sh *Shard) CompileSpecAggregate(key string, sp Spec, seed uint64, epoch time.Duration) (*Compiled, error) {
-	if f, ok := sh.foot[key]; ok {
-		sh.arena.Grow(f)
-	}
-	sp.Seed = Seed(seed)
-	sp.RecorderEpoch = epoch
-	return CompileArena(sp, &sh.arena)
-}
-
-// Recycle reclaims a finished compilation's memory — event structs,
-// packets, recorder bins — into the shard and records the footprint
-// under the scenario name (element-wise max across runs, so the sizing
-// converges on the scenario's high-water mark). The compilation is dead
-// afterwards: its simulation and recorders are empty.
-func (sh *Shard) Recycle(name string, c *Compiled) {
-	f := sh.arena.Drain(c.Sim)
-	for _, r := range c.Recorders {
-		sh.arena.DrainRecorder(r)
-	}
-	if old, ok := sh.foot[name]; ok {
-		f = f.Max(old)
-	}
-	sh.foot[name] = f
-}
+// Recycle does nothing. Kept only for the benchmark harness.
+func (*Shard) Recycle(string, *Compiled) {}

@@ -1,19 +1,18 @@
 // Command benchbaseline runs the repository's benchmarks once each
-// (-benchtime 1x) and writes the parsed results as a JSON baseline —
-// one point on the performance trajectory (BENCH_0.json is the
-// immutable seed-era baseline, BENCH_1.json the living
-// post-optimization one and the default output). Regenerate with:
+// (-benchtime 1x) and writes the parsed results as a JSON baseline.
+// BENCH.json is the one living baseline and the default output (the
+// README keeps a frozen table of the earlier trajectory points).
+// Regenerate with:
 //
-//	go run ./scripts/benchbaseline            # rewrites BENCH_1.json
+//	go run ./scripts/benchbaseline            # rewrites BENCH.json
 //
 // With -compare, the fresh run is checked against a committed baseline
 // instead of (or in addition to) being written: any benchmark that got
 // an order of magnitude slower fails the run. CI runs the compare on
 // every push, so a perf regression is caught where it lands:
 //
-//	go run ./scripts/benchbaseline -compare BENCH_1.json
-//	go run ./scripts/benchbaseline -compare BENCH_1.json,BENCH_2.json
-//	go run ./scripts/benchbaseline -compare BENCH_1.json -out fresh.json
+//	go run ./scripts/benchbaseline -compare BENCH.json
+//	go run ./scripts/benchbaseline -compare BENCH.json -out fresh.json
 //
 // The threshold is deliberately coarse (10x): single-iteration numbers
 // on shared CI hardware are noisy, but an order of magnitude is a real
@@ -21,7 +20,7 @@
 // steadier numbers on sub-µs benchmarks (1x remains the default), and
 // -budget asserts absolute wall-clock ceilings on named benchmarks:
 //
-//	go run ./scripts/benchbaseline -benchtime 10ms -out BENCH_4.json
+//	go run ./scripts/benchbaseline -benchtime 10ms -out BENCH.json
 //	go run ./scripts/benchbaseline -budget 'BenchmarkMatrix=600ms'
 package main
 
@@ -66,15 +65,13 @@ type Baseline struct {
 }
 
 func main() {
-	out := flag.String("out", "", "output file (default BENCH_1.json, the living baseline; with -compare, omit to skip writing)")
+	out := flag.String("out", "", "output file (default BENCH.json, the living baseline; with -compare, omit to skip writing)")
 	compare := flag.String("compare", "", "comma-separated committed baseline(s) to compare against; exits 1 on order-of-magnitude regressions")
 	benchtime := flag.String("benchtime", "1x", "passed to go test -benchtime; raise it (e.g. 10ms) for steadier sub-µs numbers")
 	budget := flag.String("budget", "", "comma-separated absolute ceilings, e.g. 'BenchmarkMatrix=600ms'; exits 1 when a named benchmark exceeds its duration")
 	flag.Parse()
 	if *out == "" && *compare == "" && *budget == "" {
-		// BENCH_0.json is the immutable seed-era trajectory point; the
-		// default regenerates the living baseline, never the history.
-		*out = "BENCH_1.json"
+		*out = "BENCH.json"
 	}
 
 	args := []string{"test", "-bench", ".", "-benchtime", *benchtime, "-run", "^$", "./..."}
